@@ -1,5 +1,6 @@
 #include "driver/scenario.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace icsim::driver {
@@ -30,6 +31,20 @@ bool Registry::has_group(const std::string& name) const {
 
 std::vector<std::size_t> Registry::select(
     const std::vector<std::string>& names) const {
+  // A selected group that registered nothing (e.g. replay run where no
+  // trace sets are found) must fail loudly, not report "0 points".
+  for (const auto& g : groups_) {
+    const bool selected =
+        names.empty() ||
+        std::find(names.begin(), names.end(), g.name) != names.end();
+    const bool has_points =
+        std::any_of(scenarios_.begin(), scenarios_.end(),
+                    [&](const Scenario& s) { return s.group == g.name; });
+    if (selected && !has_points) {
+      throw std::invalid_argument("scenario group '" + g.name +
+                                  "' has no points: " + g.title);
+    }
+  }
   if (names.empty()) {
     std::vector<std::size_t> all(scenarios_.size());
     for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;

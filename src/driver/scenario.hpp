@@ -94,7 +94,8 @@ class Registry {
 
   /// Scenario indices for the named groups (all scenarios when `names` is
   /// empty), preserving registry order.  Throws std::invalid_argument on an
-  /// unknown group name, listing what is registered.
+  /// unknown group name, listing what is registered, and on a selected
+  /// group with no points, quoting its title (which says what was missing).
   [[nodiscard]] std::vector<std::size_t> select(
       const std::vector<std::string>& names) const;
 

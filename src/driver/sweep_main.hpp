@@ -17,7 +17,7 @@
 //
 // With no group arguments every registered group runs.  Exit status: 0
 // when every point succeeded, 1 when any point reported an error, 2 on a
-// usage error.  Tables/JSON/CSV are byte-identical across -j values; all
+// usage error or when a selected group has no points.  Tables/JSON/CSV are byte-identical across -j values; all
 // wall-clock reporting goes to stderr or the --metrics file.
 
 #include "driver/scenario.hpp"

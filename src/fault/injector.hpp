@@ -5,9 +5,10 @@
 // per-hop BER queries and performs the deterministic corruption draws (one
 // mt19937_64 stream seeded from the plan, independent of every application
 // stream — a fault-free plan draws nothing, keeping runs bit-identical to a
-// fabric without an injector).  As a scheduler it posts the plan's link
-// down/up transitions and node stall windows onto the engine at install
-// time, flipping fabric link state and freezing node resources when the
+// fabric without an injector).  It hands the plan's link-down windows to
+// the fabric, which evaluates them as pure functions of simulated time, and
+// posts their down/up transitions as events that only count and trace.  It
+// also schedules the node stall windows, freezing node resources when the
 // simulation clock reaches them.
 
 #include <cstdint>
@@ -31,10 +32,10 @@ class FaultInjector final : public net::FaultHooks {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Hook into `fabric` and schedule the plan's link down/up transitions.
-  /// Validates every LinkRef against the fabric's topology and throws
-  /// std::invalid_argument on out-of-range nodes or non-adjacent switches.
-  /// The injector must outlive the fabric's use of it.
+  /// Hook into `fabric`, install the plan's link-down windows on it and
+  /// schedule their counted transitions.  Throws std::invalid_argument
+  /// (from Fabric::validate) on out-of-range nodes or non-adjacent
+  /// switches.  The injector must outlive the fabric's use of it.
   void install(net::Fabric& fabric);
 
   /// Schedule the plan's node stall windows (`nodes` indexed by node id).
@@ -54,8 +55,6 @@ class FaultInjector final : public net::FaultHooks {
   void publish_metrics(trace::MetricsRegistry& m) const;
 
  private:
-  void set_link_state(net::Fabric& fabric, const LinkRef& link, bool up);
-
   sim::Engine& engine_;
   FaultPlan plan_;
   sim::Rng rng_;

@@ -6,7 +6,8 @@
 // by their two SwitchCoords — always undirected: a failed cable kills both
 // directions), gives them scheduled down/up windows and bit-error rates,
 // and adds node stall windows.  Plans are pure data: nothing happens until
-// a fault::FaultInjector installs one into a fabric (see injector.hpp).
+// a fault::FaultInjector installs one into a fabric (see injector.hpp), or
+// par::ParCluster hands its link-down windows to the partitioned fabric.
 //
 // Plans come from two places: built programmatically by benches/tests, or
 // parsed from the ICSIM_FAULTS environment variable so any existing binary
@@ -38,39 +39,10 @@
 
 namespace icsim::fault {
 
-/// An undirected link of the fat tree: either the endpoint cable of one
-/// node, or the cable between two adjacent switches.
-struct LinkRef {
-  enum class Kind { node, switch_pair };
-  Kind kind = Kind::node;
-  int node = -1;               ///< Kind::node
-  net::SwitchCoord a{}, b{};   ///< Kind::switch_pair (order irrelevant)
-
-  [[nodiscard]] static LinkRef endpoint(int node) {
-    LinkRef l;
-    l.kind = Kind::node;
-    l.node = node;
-    return l;
-  }
-  [[nodiscard]] static LinkRef between(net::SwitchCoord a, net::SwitchCoord b) {
-    LinkRef l;
-    l.kind = Kind::switch_pair;
-    l.a = a;
-    l.b = b;
-    return l;
-  }
-  /// Does a directed hop traverse this (undirected) link?
-  [[nodiscard]] bool covers(const net::Hop& hop) const;
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Link goes down at `down`; comes back at `up`, or stays down forever when
-/// `up <= down`.
-struct LinkDownWindow {
-  LinkRef link;
-  sim::Time down = sim::Time::zero();
-  sim::Time up = sim::Time::zero();
-};
+// The link vocabulary is the fabric's own (net/topology.hpp): the fabric
+// evaluates link-down windows itself, so both tiers share one model.
+using net::LinkDownWindow;
+using net::LinkRef;
 
 struct LinkBerOverride {
   LinkRef link;

@@ -161,4 +161,22 @@ bool FatTreeTopology::adjacent(SwitchCoord a, SwitchCoord b) const {
   return true;
 }
 
+bool LinkRef::covers(const Hop& hop) const {
+  switch (hop.kind) {
+    case Hop::Kind::node_to_switch:
+    case Hop::Kind::switch_to_node:
+      return kind == Kind::node && hop.node == node;
+    case Hop::Kind::switch_to_switch:
+      return kind == Kind::switch_pair &&
+             ((hop.from == a && hop.to == b) || (hop.from == b && hop.to == a));
+  }
+  return false;
+}
+
+std::string LinkRef::to_string() const {
+  if (kind == Kind::node) return "n" + std::to_string(node);
+  return "s" + std::to_string(a.level) + "." + std::to_string(a.word) + "-" +
+         std::to_string(b.level) + "." + std::to_string(b.word);
+}
+
 }  // namespace icsim::net

@@ -23,7 +23,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
+
+#include "sim/time.hpp"
 
 namespace icsim::net {
 
@@ -43,6 +46,48 @@ struct Hop {
   int node = -1;
   SwitchCoord from{};  // valid unless kind == node_to_switch
   SwitchCoord to{};    // valid unless kind == switch_to_node
+};
+
+/// An undirected link of the fat tree: either the endpoint cable of one
+/// node, or the cable between two adjacent switches.  Both directions of a
+/// cable fail together.
+struct LinkRef {
+  enum class Kind { node, switch_pair };
+  Kind kind = Kind::node;
+  int node = -1;          ///< Kind::node
+  SwitchCoord a{}, b{};   ///< Kind::switch_pair (order irrelevant)
+
+  [[nodiscard]] static LinkRef endpoint(int node) {
+    LinkRef l;
+    l.kind = Kind::node;
+    l.node = node;
+    return l;
+  }
+  [[nodiscard]] static LinkRef between(SwitchCoord a, SwitchCoord b) {
+    LinkRef l;
+    l.kind = Kind::switch_pair;
+    l.a = a;
+    l.b = b;
+    return l;
+  }
+  /// Does a directed hop traverse this (undirected) link?
+  [[nodiscard]] bool covers(const Hop& hop) const;
+  [[nodiscard]] std::string to_string() const;
+};
+
+/// Link goes down at `down`; comes back at `up`, or stays down forever when
+/// `up <= down`.
+struct LinkDownWindow {
+  LinkRef link;
+  sim::Time down = sim::Time::zero();
+  sim::Time up = sim::Time::zero();
+
+  /// Is the link inside this window at simulated time `t`?  A pure
+  /// function of time: the transition instants themselves belong to the
+  /// new state (down at `down`, up again at `up`).
+  [[nodiscard]] bool covers(sim::Time t) const {
+    return t >= down && (up <= down || t < up);
+  }
 };
 
 class FatTreeTopology {

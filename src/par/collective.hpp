@@ -32,9 +32,8 @@
 #include <memory>
 #include <vector>
 
-#include "par/par_engine.hpp"
-#include "par/partition.hpp"
-#include "par/sharded_fabric.hpp"
+#include "net/fabric.hpp"
+#include "sim/par_engine.hpp"
 #include "sim/resource.hpp"
 #include "sim/time.hpp"
 
@@ -73,11 +72,11 @@ struct ParNetParams {
 /// partitioned the fabric).
 class CollectiveWorld {
  public:
-  CollectiveWorld(ParEngine& engine, ShardedFabric& fabric,
+  CollectiveWorld(sim::ParEngine& engine, net::Fabric& fabric,
                   const ParNetParams& params);
 
   /// Schedule every rank's first iteration at t = 0.  Call once, before
-  /// ParEngine::run().
+  /// sim::ParEngine::run().
   void start(const CollectiveSpec& spec);
 
   // Post-run accessors (aggregate per-rank state; single-threaded only).
@@ -129,8 +128,8 @@ class CollectiveWorld {
   /// Consume the message for the given slot if it has arrived.
   [[nodiscard]] bool take(Rank& r, int phase, int round);
 
-  ParEngine& par_;
-  ShardedFabric& fabric_;
+  sim::ParEngine& par_;
+  net::Fabric& fabric_;
   ParNetParams prm_;
   CollectiveSpec spec_;
   int rounds_ = 0;     ///< barrier: ceil(log2 n); allreduce: log2 of block

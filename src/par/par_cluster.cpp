@@ -52,7 +52,8 @@ ParCluster::ParCluster(const core::ClusterConfig& config, int partitions)
       core::fabric_config_for(cfg_.network, cfg_.nodes);
   const net::FatTreeTopology topo(fc.radix_down, fc.levels);
   if (partitions <= 0) partitions = kDefaultPartitions;
-  Partitioning parts = make_partitioning(topo, cfg_.nodes, partitions);
+  net::Partitioning parts =
+      net::make_partitioning(topo, cfg_.nodes, partitions);
 
   int threads = cfg_.intra_run_threads;
   if (cfg_.env_overrides) {
@@ -62,16 +63,14 @@ ParCluster::ParCluster(const core::ClusterConfig& config, int partitions)
     }
   }
 
-  ParConfig pc;
+  sim::ParConfig pc;
   pc.partitions = parts.parts;
   pc.threads = threads;
-  pc.lookahead = ShardedFabric::lookahead_of(fc);
-  engine_ = std::make_unique<ParEngine>(pc);
-  fabric_ = std::make_unique<ShardedFabric>(*engine_, fc, cfg_.nodes,
-                                            std::move(parts));
-  if (!fp.link_windows.empty()) {
-    fabric_->set_link_windows(fp.link_windows);
-  }
+  pc.lookahead = net::Fabric::lookahead_of(fc);
+  engine_ = std::make_unique<sim::ParEngine>(pc);
+  fabric_ = std::make_unique<net::Fabric>(*engine_, fc, cfg_.nodes,
+                                          std::move(parts));
+  fabric_->set_link_windows(fp.link_windows);
   world_ = std::make_unique<CollectiveWorld>(*engine_, *fabric_,
                                              params_for(cfg_));
 }

@@ -3,8 +3,8 @@
 // core::Cluster for large-scale collective extrapolation.
 //
 // A ParCluster takes the same core::ClusterConfig a Cluster does, but runs
-// its workload on the conservatively synchronized ParEngine: the fabric is
-// partition-sharded (sharded_fabric.hpp) and the ranks are event-driven
+// its workload on the conservatively synchronized sim::ParEngine: the
+// net::Fabric runs one shard per partition and the ranks are event-driven
 // state machines (collective.hpp) instead of fibers.  This is what makes
 // 8192-node points tractable — the fiber tier allocates per-rank stacks and
 // O(n^2) connection state, and its fibers pin the whole simulation to one
@@ -27,9 +27,9 @@
 #include <memory>
 
 #include "core/cluster.hpp"
+#include "net/fabric.hpp"
 #include "par/collective.hpp"
-#include "par/par_engine.hpp"
-#include "par/sharded_fabric.hpp"
+#include "sim/par_engine.hpp"
 
 namespace icsim::par {
 
@@ -80,14 +80,14 @@ class ParCluster {
 
   [[nodiscard]] int partitions() const { return engine_->partitions(); }
   [[nodiscard]] int threads_used() const { return engine_->threads_used(); }
-  [[nodiscard]] ParEngine& engine() { return *engine_; }
-  [[nodiscard]] ShardedFabric& fabric() { return *fabric_; }
+  [[nodiscard]] sim::ParEngine& engine() { return *engine_; }
+  [[nodiscard]] net::Fabric& fabric() { return *fabric_; }
   [[nodiscard]] const core::ClusterConfig& config() const { return cfg_; }
 
  private:
   core::ClusterConfig cfg_;
-  std::unique_ptr<ParEngine> engine_;
-  std::unique_ptr<ShardedFabric> fabric_;
+  std::unique_ptr<sim::ParEngine> engine_;
+  std::unique_ptr<net::Fabric> fabric_;
   std::unique_ptr<CollectiveWorld> world_;
 };
 

@@ -204,6 +204,27 @@ TEST(SweepCli, ListPrintsEveryGroupWithPointCountsAndExitsZero) {
   (void)::testing::internal::GetCapturedStdout();
 }
 
+TEST(SweepCli, GroupWithNoPointsIsAnErrorNamingTheGroup) {
+  Registry reg = make_registry();
+  reg.group("empty", "Nothing registered (set SOME_HINT)");
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--quiet", "empty"},
+        std::vector<std::string>{"--quiet"}}) {
+    ::testing::internal::CaptureStderr();
+    const int rc = run_cli(reg, args);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(rc, 0);
+    EXPECT_NE(err.find("scenario group 'empty' has no points"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("SOME_HINT"), std::string::npos) << err;
+  }
+  // Selecting only the populated groups still runs.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli(reg, {"--quiet", "alpha"}), 0);
+  (void)::testing::internal::GetCapturedStderr();
+}
+
 TEST(SweepCli, OutInfersFormatFromExtension) {
   const Registry reg = make_registry();
   const std::string base = ::testing::TempDir() + "icsim_sweep_out";

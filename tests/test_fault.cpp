@@ -118,8 +118,9 @@ TEST(FaultInjectorTest, DownWindowFlipsFabricLinkState) {
   const net::Hop hop = fabric.topology().route(0, 4).front();
   std::vector<bool> up_at;  // sampled at 5us, 15us, 25us
   for (const double t : {5.0, 15.0, 25.0}) {
-    engine.post_at(sim::Time::us(t),
-                   [&] { up_at.push_back(fabric.link_up(hop)); });
+    engine.post_at(sim::Time::us(t), [&] {
+      up_at.push_back(!fabric.link_down_at(hop, engine.now()));
+    });
   }
   engine.run();
   ASSERT_EQ(up_at.size(), 3u);
@@ -214,7 +215,10 @@ TEST(FabricFaults, SpineFailureReroutesChunks) {
   }
   ASSERT_EQ(spine.kind, net::Hop::Kind::switch_to_switch);
 
-  fabric.set_switch_link_state(spine.from, spine.to, false);
+  // Down until 100us, then restored.
+  const sim::Time restore = sim::Time::us(100);
+  fabric.set_link_windows(
+      {{LinkRef::between(spine.from, spine.to), sim::Time::zero(), restore}});
   std::vector<net::DeliveryStatus> statuses;
   (void)fabric.inject(0, 63, 4096,
                       [&](net::DeliveryStatus s) { statuses.push_back(s); });
@@ -225,9 +229,10 @@ TEST(FabricFaults, SpineFailureReroutesChunks) {
   EXPECT_EQ(fabric.chunks_dropped_link_down(), 0u);
 
   // Restored: the default route works again, no further rerouting.
-  fabric.set_switch_link_state(spine.from, spine.to, true);
-  (void)fabric.inject(0, 63, 4096,
-                      [&](net::DeliveryStatus s) { statuses.push_back(s); });
+  engine.post_at(restore, [&] {
+    (void)fabric.inject(0, 63, 4096,
+                        [&](net::DeliveryStatus s) { statuses.push_back(s); });
+  });
   engine.run();
   ASSERT_EQ(statuses.size(), 2u);
   EXPECT_EQ(statuses[1], net::DeliveryStatus::delivered);
@@ -237,7 +242,8 @@ TEST(FabricFaults, SpineFailureReroutesChunks) {
 TEST(FabricFaults, DownedEndpointDropsAtInjection) {
   sim::Engine engine;
   net::Fabric fabric(engine, net::FabricConfig{}, 16);
-  fabric.set_node_link_state(9, false);
+  fabric.set_link_windows(  // down forever
+      {{LinkRef::endpoint(9), sim::Time::zero(), sim::Time::zero()}});
   std::vector<net::DeliveryStatus> statuses;
   (void)fabric.inject(0, 9, 2048,
                       [&](net::DeliveryStatus s) { statuses.push_back(s); });
@@ -251,10 +257,11 @@ TEST(FabricFaults, DownedEndpointDropsAtInjection) {
 TEST(FabricFaults, RejectsNonAdjacentSwitchPair) {
   sim::Engine engine;
   net::Fabric fabric(engine, net::FabricConfig{}, 16);
-  EXPECT_THROW(
-      fabric.set_switch_link_state(net::SwitchCoord{0, 0},
-                                   net::SwitchCoord{2, 3}, false),
-      std::invalid_argument);
+  EXPECT_THROW(fabric.set_link_windows(
+                   {{LinkRef::between(net::SwitchCoord{0, 0},
+                                      net::SwitchCoord{2, 3}),
+                     sim::Time::zero(), sim::Time::zero()}}),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------- IB RC retry

@@ -1,23 +1,24 @@
-// Tests for the conservative parallel engine (src/par/): partitioning
-// invariants, the thread-count-invariant digest contract, the lookahead
-// audit, sharded-fabric timing parity with net::Fabric, collective shape
-// sanity, and the nested-parallelism guard.
+// Tests for the parallel tier (sim::ParEngine, net::Partitioning, the
+// partitioned net::Fabric and src/par/): partitioning invariants, the
+// thread-count-invariant digest contract, the lookahead audit, fabric
+// timing that does not depend on the shard count, fault-plan validation,
+// collective shape sanity, and the nested-parallelism guard.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "fault/plan.hpp"
 #include "net/fabric.hpp"
+#include "net/partition.hpp"
 #include "par/collective.hpp"
 #include "par/par_cluster.hpp"
-#include "par/par_engine.hpp"
-#include "par/partition.hpp"
-#include "par/sharded_fabric.hpp"
 #include "sim/check.hpp"
 #include "sim/concurrency.hpp"
+#include "sim/par_engine.hpp"
 
 namespace icsim {
 namespace {
@@ -42,7 +43,7 @@ class ScopedExternalWorkers {
 
 TEST(Partitioning, NodesAlignWithTheirLeafSwitches) {
   const net::FatTreeTopology topo(4, 3);  // 64 endpoints, 16 leaves
-  const par::Partitioning p = par::make_partitioning(topo, 64, 8);
+  const net::Partitioning p = net::make_partitioning(topo, 64, 8);
   EXPECT_EQ(p.parts, 8);
   for (int n = 0; n < 64; ++n) {
     // The endpoint hops of every route must be partition-internal: a node
@@ -57,7 +58,7 @@ TEST(Partitioning, NodesAlignWithTheirLeafSwitches) {
 
 TEST(Partitioning, EndpointHopsNeverCrossPartitions) {
   const net::FatTreeTopology topo(4, 3);
-  const par::Partitioning p = par::make_partitioning(topo, 64, 4);
+  const net::Partitioning p = net::make_partitioning(topo, 64, 4);
   for (int src = 0; src < 64; src += 7) {
     for (int dst = 0; dst < 64; dst += 11) {
       if (src == dst) continue;
@@ -72,22 +73,22 @@ TEST(Partitioning, EndpointHopsNeverCrossPartitions) {
 TEST(Partitioning, ClampsToPopulatedLeaves) {
   const net::FatTreeTopology topo(4, 3);
   // 6 nodes occupy 2 leaf switches: cannot slice thinner than one leaf.
-  const par::Partitioning p = par::make_partitioning(topo, 6, 8);
+  const net::Partitioning p = net::make_partitioning(topo, 6, 8);
   EXPECT_EQ(p.parts, 2);
 }
 
 TEST(ParEngine, RejectsNonPositiveLookahead) {
-  par::ParConfig pc;
+  sim::ParConfig pc;
   pc.partitions = 2;
   pc.lookahead = sim::Time::zero();
-  EXPECT_THROW(par::ParEngine{pc}, std::invalid_argument);
+  EXPECT_THROW(sim::ParEngine{pc}, std::invalid_argument);
 }
 
 TEST(ParEngine, SingleShardRunsLikeAnEngine) {
-  par::ParConfig pc;
+  sim::ParConfig pc;
   pc.partitions = 1;
   pc.lookahead = sim::Time::ns(100);
-  par::ParEngine pe(pc);
+  sim::ParEngine pe(pc);
   std::vector<int> order;
   pe.shard(0).post_at(sim::Time::us(2), [&] { order.push_back(2); });
   pe.shard(0).post_at(sim::Time::us(1), [&] { order.push_back(1); });
@@ -100,11 +101,11 @@ TEST(ParEngine, SingleShardRunsLikeAnEngine) {
 TEST(ParEngine, CrossPostsDeliverInCanonicalOrder) {
   // Two source shards post into shard 2 at the same timestamp; delivery
   // order must be (t, src, seq) regardless of scheduling.
-  par::ParConfig pc;
+  sim::ParConfig pc;
   pc.partitions = 3;
   pc.threads = 3;
   pc.lookahead = sim::Time::us(1);
-  par::ParEngine pe(pc);
+  sim::ParEngine pe(pc);
   std::vector<int> order;
   const sim::Time t = sim::Time::us(5);
   pe.shard(0).post_at(sim::Time::zero(), [&] {
@@ -225,40 +226,56 @@ TEST(ParCollectives, ElanBeatsInfinibandAndLatencyGrowsWithScale) {
   EXPECT_GT(el256, el64);  // log2(n) rounds: latency grows with scale
 }
 
-TEST(ShardedFabric, UncontendedChunkMatchesNetFabricTiming) {
-  // Same FabricConfig, same route, one chunk: the sharded fabric must
-  // reproduce net::Fabric's delivery instant exactly — partitioning is an
-  // execution strategy, not a different model.
+TEST(PartitionedFabric, UncontendedChunkTimingMatchesSingleShard) {
+  // Same FabricConfig, same route, one chunk: the fabric must deliver at
+  // the same simulated instant over one shard and over four — partitioning
+  // is an execution strategy, not a different model.
   const net::FabricConfig fc = core::fabric_config_for(core::Network::quadrics, 64);
 
-  sim::Engine ref_engine;
-  net::Fabric ref(ref_engine, fc, 64);
-  sim::Time ref_delivery = sim::Time::zero();
-  (void)ref.inject(3, 60, 1024, [&](net::DeliveryStatus st) {
+  sim::Engine serial_engine;
+  net::Fabric serial(serial_engine, fc, 64);
+  sim::Time serial_delivery = sim::Time::zero();
+  (void)serial.inject(3, 60, 1024, [&](net::DeliveryStatus st) {
     ASSERT_EQ(st, net::DeliveryStatus::delivered);
-    ref_delivery = ref_engine.now();
+    serial_delivery = serial_engine.now();
   });
-  (void)ref_engine.run();
+  (void)serial_engine.run();
+  serial.audit_drained();
 
-  par::ParConfig pc;
+  sim::ParConfig pc;
   pc.partitions = 4;
   pc.threads = 2;
-  pc.lookahead = par::ShardedFabric::lookahead_of(fc);
-  par::ParEngine pe(pc);
+  pc.lookahead = net::Fabric::lookahead_of(fc);
+  sim::ParEngine pe(pc);
   const net::FatTreeTopology topo(fc.radix_down, fc.levels);
-  par::ShardedFabric sharded(pe, fc, 64, par::make_partitioning(topo, 64, 4));
-  sim::Time par_delivery = sim::Time::zero();
+  net::Fabric sharded(pe, fc, 64, net::make_partitioning(topo, 64, 4));
+  sim::Time sharded_delivery = sim::Time::zero();
   const int src_part = sharded.partitioning().of_node(3);
   const int dst_part = sharded.partitioning().of_node(60);
-  ASSERT_NE(src_part, dst_part);  // the route genuinely crosses partitions
+  ASSERT_NE(src_part, dst_part);  // the route genuinely crosses shards
   pe.shard(src_part).post_at(sim::Time::zero(), [&] {
-    sharded.inject(3, 60, 1024,
-                   [&] { par_delivery = pe.shard(dst_part).now(); });
+    (void)sharded.inject(3, 60, 1024, [&](net::DeliveryStatus st) {
+      ASSERT_EQ(st, net::DeliveryStatus::delivered);
+      sharded_delivery = pe.shard(dst_part).now();
+    });
   });
   pe.run();
   sharded.audit_drained();
-  EXPECT_EQ(par_delivery, ref_delivery);
+  EXPECT_GT(serial_delivery, sim::Time::zero());
+  EXPECT_EQ(sharded_delivery, serial_delivery);
   EXPECT_GT(pe.cross_posts(), 0u);
+}
+
+TEST(ParCluster, RejectsLinksThatAreNotCablesOfTheTree) {
+  // Both tiers validate fault plans in the fabric's window installer: a
+  // plan naming a cable the tree does not have is an error, not a no-op.
+  for (const char* spec : {"link s0.0-2.3 down@1us", "link n9999 down@1us"}) {
+    core::ClusterConfig cc = core::elan_cluster(64);
+    cc.env_overrides = false;
+    cc.faults = fault::FaultPlan::parse(spec);
+    EXPECT_THROW(par::ParCluster{cc}, std::invalid_argument) << spec;
+    EXPECT_THROW(core::Cluster{cc}, std::invalid_argument) << spec;
+  }
 }
 
 TEST(Concurrency, ClampHonorsRequestWithoutAPoolAndDividesUnderOne) {
@@ -292,11 +309,11 @@ TEST(ParDeathTest, CrossPartitionPastScheduleAbortsUnderCheck) {
   EXPECT_DEATH(
       {
         sim::check::set_enabled(true);
-        par::ParConfig pc;
+        sim::ParConfig pc;
         pc.partitions = 2;
         pc.threads = 1;
         pc.lookahead = sim::Time::us(1);
-        par::ParEngine pe(pc);
+        sim::ParEngine pe(pc);
         pe.shard(0).post_at(sim::Time::us(5), [&] {
           // t == now: inside the current window, lookahead violated.
           pe.post_cross(0, 1, pe.shard(0).now(), [] {});

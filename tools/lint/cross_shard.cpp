@@ -2,8 +2,9 @@
 // contract.
 //
 // PR 8's shared-state pass classifies every shared-mutable site shard /
-// lock / forbid and writes partition-manifest.json; PR 9's parallel engine
-// (src/par/) consumes that inventory.  This pass closes the loop: the
+// lock / forbid and writes partition-manifest.json; the parallel tier
+// (sim::ParEngine, the partitioned net::Fabric, src/par/) consumes that
+// inventory.  This pass closes the loop: the
 // manifest stops being documentation and becomes a ratchet the analyzer
 // enforces on every scan.
 //
@@ -15,7 +16,7 @@
 //       the barrier-window protocol's safety argument (the runtime
 //       ICSIM_CHECK only sees exercised paths).
 //   (B) shard indexing — in the partitioned tier (src/par/ and par_*
-//       fixtures), every write to a site the manifest classifies `shard`
+//       files such as sim/par_engine.cpp and the fixtures), every write to a site the manifest classifies `shard`
 //       must be subscripted by a single executing-partition identifier
 //       (casts and parens stripped).  An unsubscripted write or index
 //       arithmetic (`state[self + 1]`) is a cross-partition mutation that
@@ -123,7 +124,7 @@ class LookaheadScan {
 
   void run() {
     // Seed: functions whose very name declares lookahead semantics
-    // (ShardedFabric::lookahead_of, ParEngine::lookahead()).
+    // (net::Fabric::lookahead_of, sim::ParEngine::lookahead()).
     for (const auto& tu : p_.tus) {
       for (const auto& fn : tu.functions) {
         if (fn.is_definition && lookahead_named(fn.name)) {

@@ -96,7 +96,7 @@ void run_partition_rules(const Project& project, std::vector<Diagnostic>& diags,
 void run_closure_rules(const Project& project, std::vector<Diagnostic>& diags);
 
 /// True when `file` belongs to the partitioned tier — src/par/ sources and
-/// par_*-named fixtures — where sharded-by-index access to shard-classified
+/// par_*-named files (sim/par_engine.*, fixtures) — where sharded-by-index access to shard-classified
 /// state is legal and policed by cross-shard-conformance.
 [[nodiscard]] bool partition_tier(const std::string& file);
 

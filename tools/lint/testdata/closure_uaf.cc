@@ -6,7 +6,7 @@
 #include <memory>
 #include <utility>
 
-#include "par/par_engine.hpp"
+#include "sim/par_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
 #include "sim/time.hpp"
@@ -41,7 +41,7 @@ void arm_default(icsim::sim::Engine& engine, int budget) {
 // Named lambda handed to post_cross later in the body (the forward shape):
 // the pass must resolve `std::move(cont)` back to its capture list.  The
 // delay routes through lookahead(), so only closure-lifetime fires here.
-void forward_credit(icsim::par::ParEngine& eng, std::uint32_t from,
+void forward_credit(icsim::sim::ParEngine& eng, std::uint32_t from,
                     std::uint32_t to) {
   int credits = 4;
   auto cont = [&credits] { credits -= 1; };

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "par/par_engine.hpp"
+#include "sim/par_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -35,14 +35,14 @@ void arm(icsim::sim::Engine& engine, std::uint32_t self) {
 // Cross-partition traffic routes through post_cross with the delay
 // dataflowing from the lookahead accessor — through a local, which the
 // provenance scan must follow.
-void forward(icsim::par::ParEngine& eng, std::uint32_t from,
+void forward(icsim::sim::ParEngine& eng, std::uint32_t from,
              std::uint32_t to) {
   const icsim::sim::Time arrival = eng.now() + eng.lookahead();
   eng.post_cross(from, to, arrival, [] {});
 }
 
 // wire + switch latency is the lookahead constant by definition.
-void forward_terms(icsim::par::ParEngine& eng, std::uint32_t from,
+void forward_terms(icsim::sim::ParEngine& eng, std::uint32_t from,
                    std::uint32_t to, icsim::sim::Time wire_latency,
                    icsim::sim::Time switch_latency) {
   eng.post_cross(from, to, wire_latency + switch_latency, [] {});

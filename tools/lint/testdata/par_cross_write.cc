@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "par/par_engine.hpp"
+#include "sim/par_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -35,7 +35,7 @@ void arm(icsim::sim::Engine& engine, std::uint32_t self) {
 // Hand-rolled 40ns hop instead of the lookahead accessor: even if the value
 // happens to be safe today, nothing ties it to wire+switch latency when the
 // config changes.
-void forward_bad(icsim::par::ParEngine& eng, std::uint32_t from,
+void forward_bad(icsim::sim::ParEngine& eng, std::uint32_t from,
                  std::uint32_t to) {
   const icsim::sim::Time hop = icsim::sim::Time::ns(40);
   eng.post_cross(from, to, hop, [] {});
