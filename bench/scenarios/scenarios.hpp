@@ -1,13 +1,13 @@
 #pragma once
-// Scenario registration for every figure / extension study of the
-// reproduction.  Each register_* call adds one output group (two for the
-// fault study) of self-contained sweep points to the registry; the
-// per-figure bench binaries call exactly one of them, icsim_sweep calls
-// register_all().  Registration order is fixed here — it defines the
-// aggregated output order (see driver/scenario.hpp).
+// Scenario registration for every table, figure, ablation and extension
+// study of the reproduction.  Each register_* call adds one output group
+// (several for the fault, traffic and ablation studies) of self-contained
+// sweep points to the registry; icsim_sweep calls register_all() and runs
+// the groups named on its command line.  Registration order is fixed here
+// — it defines the aggregated output order (see driver/scenario.hpp).
 //
-// All registration functions read ICSIM_FAST at registration time to pick
-// reduced problem sizes, mirroring what the original bench binaries did.
+// Registration functions read ICSIM_FAST at registration time to pick
+// reduced problem sizes where a study has them.
 
 #include "driver/scenario.hpp"
 
@@ -24,6 +24,7 @@ void register_fig6_npb_cg(driver::Registry& r);
 void register_fig7_cost(driver::Registry& r);
 void register_fig8_extrapolation(driver::Registry& r);
 void register_fig8_simulated(driver::Registry& r);  // parallel engine (src/par/)
+void register_ablation(driver::Registry& r);  // table1_platform + 4 ablations
 void register_ext_threeway(driver::Registry& r);
 void register_ext_npb_suite(driver::Registry& r);
 void register_ext_scale(driver::Registry& r);

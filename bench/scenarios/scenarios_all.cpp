@@ -14,6 +14,7 @@ void register_all(driver::Registry& r) {
   register_fig7_cost(r);
   register_fig8_extrapolation(r);
   register_fig8_simulated(r);
+  register_ablation(r);
   register_ext_threeway(r);
   register_ext_npb_suite(r);
   register_ext_scale(r);

@@ -1,9 +1,8 @@
 #pragma once
-// Shared command line for sweep binaries.
+// Command line of the sweep driver.
 //
 // icsim_sweep registers every scenario group and hands argc/argv to
-// sweep_main(); each per-figure bench binary registers just its own
-// group(s) and does the same, which is what makes them thin wrappers.
+// sweep_main(); tests drive it the same way with their own registries.
 //
 //   usage: <prog> [options] [group ...]
 //     -j N, -jN     worker threads (0 = all hardware threads; default 1)

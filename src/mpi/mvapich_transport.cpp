@@ -33,18 +33,20 @@ sim::Time MvapichTransport::init_world(
           t->cfg_.ring_slots;
       // Reliable connection + pinning of this peer's eager ring.
       cost += t->hca_.connect(t->rank_, &peer->hca_, peer->rank_);
-      cost += t->hca_.reg_cache().pin_permanent(
-          static_cast<std::uint64_t>(t->cfg_.ring_slots) * t->cfg_.vbuf_bytes);
+      cost += t->hca_.reg_cache().pin_permanent(t->ring_bytes_per_peer());
     }
     per_rank_cost = cost > per_rank_cost ? cost : per_rank_cost;
   }
   return per_rank_cost;
 }
 
+std::uint64_t MvapichTransport::ring_bytes_per_peer() const {
+  return static_cast<std::uint64_t>(cfg_.ring_slots) * cfg_.vbuf_bytes;
+}
+
 std::uint64_t MvapichTransport::ring_memory_bytes() const {
   const auto peers = peers_.empty() ? 0 : peers_.size() - 1;
-  return static_cast<std::uint64_t>(peers) * 2 /*tx+rx*/ *
-         static_cast<std::uint64_t>(cfg_.ring_slots) * cfg_.vbuf_bytes;
+  return static_cast<std::uint64_t>(peers) * ring_bytes_per_peer();
 }
 
 void MvapichTransport::charge(sim::Time t) {
@@ -465,19 +467,7 @@ void MvapichTransport::wait(RequestState& req) {
     // sleep on the completion event, as on an offloaded NIC.
     progress();
     if (!req.complete) {
-      if (watchdog) {
-        sim::EventHandle wd =
-            engine_.schedule_in(cfg_.watchdog_timeout, [this, rp = &req] {
-              if (!rp->complete) {
-                ++watchdog_timeouts_;
-                rp->fail();
-              }
-            });
-        req.trigger.wait();
-        wd.cancel();  // immediate cancel keeps the aliased request safe
-      } else {
-        req.trigger.wait();
-      }
+      wait_with_watchdog(req, cfg_.watchdog_timeout, watchdog_timeouts_);
     }
     return;
   }

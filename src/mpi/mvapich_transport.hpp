@@ -99,6 +99,10 @@ class MvapichTransport final : public Transport {
   }
 
  private:
+  /// Pinned bytes of one peer's eager ring: what init_world registers per
+  /// connection, and the unit ring_memory_bytes() counts.
+  [[nodiscard]] std::uint64_t ring_bytes_per_peer() const;
+
   struct WireMsg {
     enum class Kind { eager, rts, cts, rndv_data, credit };
     Kind kind = Kind::eager;

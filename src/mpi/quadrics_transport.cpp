@@ -58,19 +58,7 @@ void QuadricsTransport::post_recv(const RecvArgs& args) {
 
 void QuadricsTransport::wait(RequestState& req) {
   if (!req.complete) {
-    if (cfg_.watchdog_timeout > sim::Time::zero()) {
-      sim::EventHandle wd =
-          engine_.schedule_in(cfg_.watchdog_timeout, [this, rp = &req] {
-            if (!rp->complete) {
-              ++watchdog_timeouts_;
-              rp->fail();
-            }
-          });
-      req.trigger.wait();
-      wd.cancel();  // immediate cancel keeps the aliased request safe
-    } else {
-      req.trigger.wait();
-    }
+    wait_with_watchdog(req, cfg_.watchdog_timeout, watchdog_timeouts_);
   }
   charge(cfg_.o_complete);
 }

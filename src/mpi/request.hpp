@@ -54,6 +54,27 @@ struct RequestState {
   }
 };
 
+/// Block the calling fiber until `req` completes.  With a nonzero
+/// `watchdog`, an event that long from now fails the request if it is still
+/// pending and counts it in `timeouts`, so a lost message surfaces as a
+/// counted failure instead of a deadlocked rank.
+inline void wait_with_watchdog(RequestState& req, sim::Time watchdog,
+                               std::uint64_t& timeouts) {
+  if (watchdog <= sim::Time::zero()) {
+    req.trigger.wait();
+    return;
+  }
+  sim::EventHandle wd =
+      req.engine->schedule_in(watchdog, [rp = &req, n = &timeouts] {
+        if (!rp->complete) {
+          ++*n;
+          rp->fail();
+        }
+      });
+  req.trigger.wait();
+  wd.cancel();  // immediate cancel keeps the aliased request safe
+}
+
 /// Cheap handle; a default-constructed Request is "null" and already
 /// complete (like MPI_REQUEST_NULL).
 class Request {

@@ -60,6 +60,16 @@ TEST(Cluster, IbRingMemoryScalesWithJobSize) {
   EXPECT_EQ(elan.ib_ring_memory_per_rank(), 0u);  // connectionless
 }
 
+TEST(Cluster, IbRingMemoryIsOneRingPerPeer) {
+  // What the report says each rank dedicates equals what init_world pins:
+  // one ring of ring_slots x vbuf_bytes for each of the 63 peers.
+  const ClusterConfig cc = ib_cluster(64);
+  const Cluster job(cc);
+  EXPECT_EQ(job.ib_ring_memory_per_rank(),
+            63u * static_cast<std::uint64_t>(cc.mvapich.ring_slots) *
+                cc.mvapich.vbuf_bytes);
+}
+
 TEST(Cluster, InitCostChargedWhenRequested) {
   ClusterConfig free_cfg = ib_cluster(2, 1);
   ClusterConfig charged_cfg = ib_cluster(2, 1);

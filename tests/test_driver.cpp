@@ -1,5 +1,6 @@
 // Sweep driver: registry ordering, thread-count determinism of the
-// aggregated report, and per-point error isolation.
+// aggregated report, per-point error isolation, and the Section 3.3
+// ablation groups' anchors run through it.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "driver/scenario.hpp"
 #include "driver/sweep_main.hpp"
 #include "microbench/pingpong.hpp"
+#include "scenarios/scenarios.hpp"
 #include "sim/engine.hpp"
 
 namespace icsim::driver {
@@ -256,6 +258,70 @@ TEST(SweepCli, OutWithoutRecognizedExtensionFails) {
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(rc, 2);
   EXPECT_NE(err.find(".json or .csv"), std::string::npos) << err;
+}
+
+// The four ablation groups, registered as icsim_sweep registers them and
+// run at two workers; the anchors are the ones EXPERIMENTS.md records.
+SweepReport run_ablations(const std::vector<std::string>& groups,
+                          int jobs = 2) {
+  Registry reg;
+  bench::register_ablation(reg);
+  SweepOptions opt;
+  opt.jobs = jobs;
+  return run_sweep(reg, groups, opt);
+}
+
+double metric(const SweepReport& r, const std::string& point,
+              const std::string& name) {
+  for (const auto& g : r.groups) {
+    for (std::size_t i = 0; i < g.points.size(); ++i) {
+      if (g.point_names[i] != point) continue;
+      const Metric* m = g.points[i].find(name);
+      if (m == nullptr) break;
+      return m->value;
+    }
+  }
+  ADD_FAILURE() << "no metric " << point << "/" << name;
+  return 0.0;
+}
+
+TEST(AblationSweep, OnlyStockMvapichExposesTheTransferBehindCompute) {
+  const SweepReport r = run_ablations({"ablation_progress"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_GE(metric(r, "ib", "comp 800us"), 250.0);
+  EXPECT_LE(metric(r, "ib+indep", "comp 800us"), 5.0);
+  EXPECT_LE(metric(r, "el", "comp 800us"), 5.0);
+}
+
+TEST(AblationSweep, CalibratedPinBudgetThrashesAtFourMegabytes) {
+  const SweepReport r = run_ablations({"ablation_regcache"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_LT(metric(r, "cache7MB", "4MB"),
+            0.7 * metric(r, "cache32MB", "4MB"));
+}
+
+TEST(AblationSweep, SlowNicMatcherLosesToHostMatchingOnADeepQueue) {
+  const SweepReport r = run_ablations({"ablation_offload"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(metric(r, "el/1000ns", "depth 256"),
+            metric(r, "ib/host", "depth 256"));
+}
+
+TEST(AblationSweep, HigherEagerThresholdLowersTwoKilobyteLatency) {
+  const SweepReport r = run_ablations({"ablation_eager"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_LT(metric(r, "eager16K", "2048 B"), metric(r, "eager1K", "2048 B"));
+}
+
+TEST(AblationSweep, ReportIsByteIdenticalAtOneAndTwoJobs) {
+  const std::vector<std::string> groups = {
+      "ablation_progress", "ablation_eager", "ablation_regcache",
+      "ablation_offload"};
+  const SweepReport a = run_ablations(groups, 1);
+  const SweepReport b = run_ablations(groups, 2);
+  ASSERT_TRUE(a.ok());
+  EXPECT_NE(a.digest, 0u);
+  EXPECT_EQ(a.to_json(), b.to_json());
 }
 
 }  // namespace
